@@ -114,7 +114,9 @@ class NeuroCard:
         self.inference = self.build_inference()
         return self
 
-    def prepare(self, compile: Optional[object] = None) -> "NeuroCard":
+    def prepare(
+        self, compile: Optional[object] = None, layout: Optional[Layout] = None
+    ) -> "NeuroCard":
         """Build counts/sampler/layout/model/engine WITHOUT training.
 
         The weights stay at their seeded initialization. Two consumers
@@ -125,8 +127,13 @@ class NeuroCard:
         skeleton (same schema + config => same architecture and layout),
         never a gradient step. The estimator reports ``is_fitted`` after
         this call; estimates are meaningless until real weights arrive.
+
+        ``layout`` supplies the layout the weights were trained against
+        instead of deriving one from the schema: :meth:`update` keeps the
+        trained layout while the snapshot moves on, so a fast-refreshed
+        model's fanout vocabularies can differ from a fresh derivation.
         """
-        self._prepare_structures(self.config.train_tuples, compile)
+        self._prepare_structures(self.config.train_tuples, compile, layout)
         self.inference = self.build_inference()
         return self
 
@@ -160,16 +167,21 @@ class NeuroCard:
             param.value = value
         self.invalidate_compiled()
 
-    def _prepare_structures(self, n_tuples: int, compile: Optional[object]) -> None:
+    def _prepare_structures(
+        self, n_tuples: int, compile: Optional[object],
+        layout: Optional[Layout] = None,
+    ) -> None:
         cfg = self.config
         self._compile_mode = self._resolve_compile_mode(compile)
         start = time.perf_counter()
         self.counts = JoinCounts(self.schema)
-        specs = joined_column_specs(
+        specs = layout.specs if layout is not None else joined_column_specs(
             self.schema, self.counts, exclude=cfg.exclude_columns
         )
         self.sampler = FullJoinSampler(self.schema, self.counts, specs=specs)
-        self.layout = Layout(self.schema, self.counts, specs, cfg.factorization_bits)
+        self.layout = layout if layout is not None else Layout(
+            self.schema, self.counts, specs, cfg.factorization_bits
+        )
         self.prepare_seconds = time.perf_counter() - start
         self.model = ResMADE(
             self.layout.domains,

@@ -17,7 +17,14 @@ that is constant per query plan hoisted out of the hot loop:
   their concatenated rows (same for fanout tilts and indicators; IN-set
   walks keep the per-query trie state) — and the post-draw weight/token
   bookkeeping lands in one gather/scatter pass over the participating
-  slices instead of one Python iteration per query.
+  slices instead of one Python iteration per query;
+* draws run on the distinct prefixes: the network evaluates one
+  conditional per distinct token prefix, and the draw helpers take that
+  ``(distinct, D)`` array plus a row -> conditional index map. Each CDF
+  (and each tilted mass) is built once per distinct prefix, and each
+  sample row finds its inverse-CDF index through the map — by a
+  fixed-step bisection on large calls — so no ``(rows, D)`` expansion
+  is ever made.
 
 Every per-row quantity (conditional mass, drawn token, weight update) is
 computed by the same formulas on the same values as the reference loop,
@@ -345,9 +352,9 @@ class CompiledEngine(ProgressiveSampler):
                 if not len(seg):
                     continue
                 pos = np.searchsorted(union, seg)
-                p = probs_u[inverse[pos]] if inverse is not None else probs_u[pos]
+                at = inverse[pos] if inverse is not None else pos
                 taking.append(qi)
-                apply_rows_parts.append((seg - slices[qi].start, p[:, 1]))
+                apply_rows_parts.append((seg - slices[qi].start, probs_u[at, 1]))
             if taking:
                 apply_rows = np.concatenate(
                     [np.arange(slices[qi].start, slices[qi].stop) for qi in taking]
@@ -399,32 +406,39 @@ class CompiledEngine(ProgressiveSampler):
             live_local[qi] = seg - slices[qi].start
         rows = np.concatenate(segments)
 
-        probs = None
+        # ``probs`` holds one conditional per distinct prefix; ``idx`` maps
+        # each entry of ``rows`` to its conditional (None: one per row, in
+        # order). The draws read through the map, never expanding it.
+        probs, idx = None, None
         tail = state.pop("tail", None)
         if tail is not None and tail[0] == col and len(rows):
             # This column's conditionals were produced by the preceding
             # indicator run's shared blocks pass; map our live rows into it.
             _, t_union, t_inverse, t_probs = tail
             pos = np.searchsorted(t_union, rows)
-            probs = t_probs[t_inverse[pos]] if t_inverse is not None else t_probs[pos]
+            if t_inverse is None:
+                probs = t_probs[pos]
+            else:
+                used = t_inverse[pos]
+                first_local, idx = _first_and_inverse(used)
+                # The run's pass covered every live row; keep the
+                # conditionals this column reads.
+                probs = t_probs if len(first_local) == len(t_probs) else (
+                    t_probs[used[first_local]]
+                )
         elif len(rows) and session is not None and not state["dedup"]:
             probs = session.probs(rows, col)
         elif len(rows):
             first_local, inverse = _first_and_inverse(group[rows])
             if session is not None and len(first_local) > 0.9 * len(rows):
                 state["dedup"] = False
+            fwd = rows
+            if len(first_local) < len(rows):
+                fwd, idx = rows[first_local], inverse
             if session is not None:
-                if len(first_local) < len(rows):
-                    probs = session.probs(rows[first_local], col)[inverse]
-                else:
-                    probs = session.probs(rows, col)
-            elif len(first_local) < len(rows):
-                first = rows[first_local]
-                probs = self._column_conditional(
-                    tokens[first], col, wildcard[first]
-                )[inverse]
+                probs = session.probs(fwd, col)
             else:
-                probs = self._column_conditional(tokens[rows], col, wildcard[rows])
+                probs = self._column_conditional(tokens[fwd], col, wildcard[fwd])
 
         # Per-query uniform draws, full length, in parts order — the exact
         # stream consumption of the reference loop (and the sequential
@@ -469,31 +483,39 @@ class CompiledEngine(ProgressiveSampler):
                 [us[parts[pi]][live_local[parts[pi]]] for pi in group_list]
             )
 
+        def conditionals(pos):
+            # (conditionals, map) for the sample rows at ``pos``.
+            return (probs, idx[pos]) if idx is not None else (probs[pos], None)
+
         if interval:
             pos = positions(interval)
             bounds = [self._interval_bounds(ops, parts, live_local, pi, k)
                       for pi in interval]
             lo = np.concatenate([b[0] for b in bounds])
             hi = np.concatenate([b[1] for b in bounds])
+            p, m = conditionals(pos)
             mass_all[pos], drawn_all[pos] = _draw_interval(
-                probs[pos], lo, hi, gathered_u(interval)
+                p, lo, hi, gathered_u(interval), m
             )
         if fanout:
             pos = positions(fanout)
             tilt = ops[parts[fanout[0]]].reciprocals
+            p, m = conditionals(pos)
             mass_all[pos], drawn_all[pos] = _draw_tilted(
-                probs[pos], tilt, gathered_u(fanout)
+                p, tilt, gathered_u(fanout), m
             )
         if indicator:
             pos = positions(indicator)
-            mass_all[pos] = probs[pos, 1]
+            p, m = conditionals(pos)
+            mass_all[pos] = p[:, 1] if m is None else p[m, 1]
             drawn_all[pos] = 1
         for pi in rest:  # IN-set ops: per-query trie state
             qi = parts[pi]
             seg = slice(offsets[pi], offsets[pi + 1])
             u = us[qi]
+            p, m = conditionals(seg)
             mass_all[seg], drawn_all[seg] = ops[qi].draw(
-                k, probs[seg], live_local[qi],
+                k, p if m is None else p[m], live_local[qi],
                 u[live_local[qi]] if u is not None else None,
             )
 

@@ -86,8 +86,11 @@ class ModelRegistry:
         to ``get_with_version``. The serving layer uses this to publish
         swapped models to worker pools *eagerly*, so a hot-swap under
         multiprocess load never serves a post-swap request from a stale
-        worker version. Callback exceptions are swallowed per-callback —
-        a broken observer must not break the swap.
+        worker version. A failing callback does not stop the others or
+        undo the swap; once all have run, :meth:`swap` raises a
+        :class:`~repro.errors.ServingError` chained to the first failure,
+        so the caller (a refresher's ``RefreshEvent``, say) sees that a
+        subscriber such as a pool publish could not follow the new version.
         """
         with self._lock:
             self._subscribers.append(callback)
@@ -95,11 +98,18 @@ class ModelRegistry:
     def _notify_swap(self, name: str, estimator: NeuroCard, version: int) -> None:
         with self._lock:
             subscribers = list(self._subscribers)
+        errors = []
         for callback in subscribers:
             try:
                 callback(name, estimator, version)
-            except Exception:
-                pass
+            except Exception as exc:  # reported below, after every callback
+                errors.append(exc)
+        if errors:
+            raise ServingError(
+                f"model {name!r} version {version} is swapped in, but "
+                f"{len(errors)} of {len(subscribers)} swap subscriber(s) "
+                f"failed: {errors[0]!r}"
+            ) from errors[0]
 
     # ------------------------------------------------------------------
     # Registration
@@ -197,7 +207,9 @@ class ModelRegistry:
         """Atomically replace the model behind ``name``; returns the new version.
 
         Readers that already hold the old object are unaffected; new ``get``
-        calls see the new model and version immediately.
+        calls see the new model and version immediately. Raises
+        :class:`~repro.errors.ServingError` after the swap if a subscriber
+        failed (see :meth:`subscribe`).
         """
         if not estimator.is_fitted:
             raise ServingError(f"swap({name!r}) requires a fitted estimator")

@@ -401,7 +401,9 @@ class BackgroundRefresher:
     failed :class:`RefreshEvent` (see :attr:`history` / :attr:`last_error`)
     and the old model keeps serving; the same data version is not retried
     until new data arrives, so a poisoned snapshot cannot cause a retry
-    storm.
+    storm. A swap subscriber that fails after the swap (a worker pool that
+    cannot install the new version) fails the event too, although the
+    registry already holds the new model.
     """
 
     def __init__(

@@ -132,13 +132,14 @@ class _WorkerState:
             segment = _attach_segment(payload["shm"])
             arrays = read_blob(payload["manifest"], segment.buf)
             est = self.est
-            # A payload carrying a schema means the layout changed (first
+            # A payload carrying a schema means the snapshot changed (first
             # publish, refresh onto a new snapshot, or this worker was
-            # respawned): rebuild the deterministic skeleton. Weight-only
-            # swaps ship ``schema=None`` and reuse it.
+            # respawned): rebuild the skeleton around the layout the
+            # weights were trained against. Weight-only swaps ship
+            # ``schema=None`` and reuse it.
             if payload.get("schema") is not None or not isinstance(est, NeuroCard):
                 est = NeuroCard(payload["schema"], payload["config"]).prepare(
-                    compile=payload["mode"]
+                    compile=payload["mode"], layout=payload["layout"]
                 )
             est.attach_parameters(
                 [arrays[f"param::{i}"] for i in range(payload["n_params"])]
@@ -515,6 +516,7 @@ class WorkerPool:
         slim = dict(payload)
         slim["schema"] = None
         slim["config"] = None
+        slim["layout"] = None
         return slim
 
     def _build_payload(self, model, version: int):
@@ -547,6 +549,10 @@ class WorkerPool:
                 "n_params": len(params),
                 "schema": model.schema,
                 "config": model.config,
+                # A fast refresh keeps the trained layout while the schema
+                # moves on; a layout re-derived from the new snapshot can
+                # disagree with the weights' shapes.
+                "layout": model.layout,
                 "mode": model._compile_mode,  # noqa: SLF001 - serving twin
                 "fault_plan": fault_plan,
             }

@@ -451,6 +451,32 @@ class TestRefreshFailure:
         assert refresher.poll_once() is None
         assert len(refresher.history) == 1
 
+    def test_failed_swap_subscriber_fails_the_refresh_event(self, updatable):
+        """A subscriber that cannot follow the swap (a pool publish, say)
+        must not be reported as a successful refresh."""
+        full, initial, estimator = updatable
+        registry = ModelRegistry()
+        registry.register("live", estimator)
+        before_version = registry.version("live")
+        seen = []
+
+        def broken(name, est, version):
+            raise RuntimeError("pool could not install")
+
+        registry.subscribe(broken)
+        registry.subscribe(lambda name, est, version: seen.append(version))
+        ingestor = StreamingIngestor(initial)
+        ingestor.ingest_many({"C2": c2_suffix_batches(full, initial, 1)[0]})
+        refresher = BackgroundRefresher(registry, "live", ingestor)
+        event = refresher.refresh_now("fast")
+        assert not event.ok
+        assert isinstance(event.error, ServingError)
+        assert isinstance(event.error.__cause__, RuntimeError)
+        assert refresher.stats()["failures"] == 1
+        # The swap itself went through, and later subscribers still ran.
+        assert registry.version("live") == before_version + 1
+        assert seen == [before_version + 1]
+
     def test_unknown_model_and_strategy_rejected(self, updatable):
         _, initial, estimator = updatable
         registry = ModelRegistry()

@@ -25,9 +25,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.config import NeuroCardConfig
 from repro.core.estimator import NeuroCard
 from repro.core.inference import attach_engine_state, export_engine_state
 from repro.errors import EstimationError, ServingError
+from repro.eval.updates import partition_stream
 from repro.nn.compiled import pack_layout, read_blob, write_blob
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
@@ -35,8 +37,11 @@ from repro.serving import (
     EstimationService,
     ModelRegistry,
     ServingConfig,
+    StreamingIngestor,
     WorkerPool,
 )
+from repro.workloads.generators import job_light_ranges_queries
+from repro.workloads.imdb import ImdbScale, job_light_schema
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -269,3 +274,44 @@ def test_pool_refuses_unpicklable_and_surfaces_closed(workload):
         pool.close()
     with pytest.raises(ServingError, match="closed"):
         pool.estimate_batch(workload[:1])
+
+
+def test_pool_serves_fast_refreshed_models_over_partitions():
+    """Workers install fast-refreshed models (§7.6 partition stream).
+
+    ``NeuroCard.update`` keeps the layout the weights were trained with
+    while the snapshot grows, so a fanout vocabulary derived afresh from
+    the new snapshot can be wider than the trained embedding. The pool
+    ships the trained layout with the schema; every read after the first
+    fast refresh must be answered by the worker.
+    """
+    schema = job_light_schema(ImdbScale(n_title=300, seed=0))
+    snapshots, deltas = partition_stream(schema, 5)
+    config = NeuroCardConfig(
+        d_emb=8, d_ff=32, n_blocks=1, train_tuples=4_000, batch_size=256,
+        progressive_samples=32, sampler_threads=1, seed=0,
+    )
+    model = NeuroCard(snapshots[0], config).fit()
+    queries = job_light_ranges_queries(schema, n=8, seed=3)
+    failed_after_fast = []
+    with EstimationService(config=ServingConfig(workers=1)) as service:
+        service.register("m", model)
+        ingestor = StreamingIngestor(snapshots[0])
+        refresher = service.serve_with_updates("m", ingestor)
+        for delta in deltas[1:]:
+            version = ingestor.ingest_many(delta)
+            deadline = time.monotonic() + 120
+            while not any(e.data_version == version for e in refresher.history):
+                assert time.monotonic() < deadline, "ingest was never refreshed"
+                time.sleep(0.01)
+            if not any(e.strategy == "fast" for e in refresher.history):
+                continue
+            for i, query in enumerate(queries):
+                try:
+                    service.submit(query, seed=i).result(timeout=60)
+                except Exception as exc:  # noqa: BLE001 - recorded, fails test
+                    failed_after_fast.append(exc)
+        events = list(refresher.history)
+    assert any(e.strategy == "fast" for e in events)
+    assert all(e.ok for e in events), [e.error for e in events]
+    assert not failed_after_fast, failed_after_fast[:1]
